@@ -371,6 +371,20 @@ fn remount_and_audit<C: Classifier>(
     // fresh set and re-baseline it on the recovered snapshot.
     *auditors = CoreAuditorSet::new();
     report.findings.extend(auditors.audit(&after));
+    // Parity content, not just its mapping: reads every stripe page, so
+    // it runs here rather than inside the snapshot auditors.
+    report
+        .findings
+        .extend(
+            controller
+                .device
+                .stale_stripes()
+                .into_iter()
+                .map(|stripe| AuditFinding {
+                    source: "recovery",
+                    violation: Violation::SysParityStale { stripe },
+                }),
+        );
     report.sys_repaired += remount.sys_repaired;
     report.sys_lost += remount.sys_lost.len() as u64;
     report.spare_lost += remount.spare_lost.len() as u64;
@@ -391,8 +405,10 @@ fn remount_and_audit<C: Classifier>(
 /// crash the device is remounted via
 /// [`SosDevice::recover_in_place`](sos_core::SosDevice::recover_in_place)
 /// and audited: the [`RecoveryAuditor`] checks the rebuild against the
-/// pre-crash snapshot, then a fresh [`CoreAuditorSet`] re-verifies every
-/// standing invariant. Checkpoints are taken every
+/// pre-crash snapshot, a fresh [`CoreAuditorSet`] re-verifies every
+/// standing invariant, and
+/// [`SosDevice::stale_stripes`](sos_core::SosDevice::stale_stripes)
+/// checks every live stripe's parity content. Checkpoints are taken every
 /// `checkpoint_interval_days` (0 never checkpoints, forcing full-device
 /// recovery scans); a cut can land inside the checkpoint write itself,
 /// which the generational checkpoint format must survive.

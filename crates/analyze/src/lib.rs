@@ -192,6 +192,13 @@ pub enum Violation {
         /// The parity LPN that should be mapped.
         parity_lpn: u64,
     },
+    /// A live stripe's parity page after a remount is not the XOR of
+    /// its readable members (or does not read back): a later member loss
+    /// in that stripe would be "repaired" into wrong data.
+    SysParityStale {
+        /// The stripe index.
+        stripe: u64,
+    },
     /// An object references an LPN beyond its partition's logical
     /// capacity.
     ObjectLpnOutOfRange {
@@ -313,6 +320,10 @@ impl fmt::Display for Violation {
             Violation::UnreportedCrashLoss { partition, id, lpn } => write!(
                 f,
                 "silent crash loss: {partition} object {id} LPN {lpn} neither recovered nor declared lost"
+            ),
+            Violation::SysParityStale { stripe } => write!(
+                f,
+                "stripe {stripe} parity does not match its members after remount"
             ),
             Violation::TornPageResurfaced { partition, location, lpn } => write!(
                 f,

@@ -9,12 +9,13 @@
 use crate::object::{
     DeviceCounters, ObjectData, ObjectError, ObjectId, ObjectStatus, ObjectStore, Partition,
 };
-use crate::partition::PartitionStore;
+use crate::partition::{LpnPool, PartitionStore};
 use crate::stripe::StripeManager;
 use serde::{Deserialize, Serialize};
 use sos_flash::{CellDensity, DeviceConfig, FaultPlan, FlashError, Geometry};
 use sos_ftl::{DataTag, Ftl, FtlConfig, FtlError, RecoveryReport};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
+use std::ops::Bound;
 
 /// SOS device configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -83,7 +84,10 @@ pub struct RemountReport {
     pub sys: RecoveryReport,
     /// SPARE-partition FTL rebuild report.
     pub spare: RecoveryReport,
-    /// Live stripes whose parity was recomputed after recovery.
+    /// Live stripes whose parity page was stale (differed from the XOR
+    /// of the stripe's readable members, or did not read back) and was
+    /// rewritten. Stripes whose parity was already current are not
+    /// counted: their pages are not reprogrammed.
     pub parity_refreshed: u64,
     /// SYS pages lost in the crash window and rebuilt from stripe
     /// parity.
@@ -139,7 +143,7 @@ impl SosDevice {
         let mut sys = PartitionStore::new(sys_ftl, DataTag::sys_hot());
         sys.pool.shrink_budget(data_pages);
         // Re-derive the pool so only data LPNs are handed out.
-        sys.pool = crate::partition::LpnPool::new(data_pages);
+        sys.pool = LpnPool::new(data_pages);
         let spare = PartitionStore::new(spare_ftl, DataTag::spare_hot());
         SosDevice {
             sys,
@@ -312,6 +316,32 @@ impl SosDevice {
         self.partition(partition).ftl.device().is_powered_off()
     }
 
+    /// Live stripes whose stored parity page is not the XOR of the
+    /// stripe's readable members, or does not read back, as stripe
+    /// indices. A diagnostic for crash harnesses, computed from
+    /// [`StripeManager::stripe_snapshot`] independently of the remount's
+    /// own parity check. It reads every member and parity page, so it
+    /// advances read disturb and the error-draw stream like any read.
+    pub fn stale_stripes(&mut self) -> Vec<u64> {
+        let parity_base = self.stripes.parity_base();
+        let mut stale = Vec::new();
+        for (stripe, members) in self.stripes.stripe_snapshot() {
+            let mut expected = vec![0u8; self.sys.page_bytes()];
+            for member in members {
+                if let Ok(read) = self.sys.ftl.read(member) {
+                    for (e, &b) in expected.iter_mut().zip(&read.data) {
+                        *e ^= b;
+                    }
+                }
+            }
+            match self.sys.ftl.read(parity_base + stripe) {
+                Ok(read) if read.data == expected => {}
+                _ => stale.push(stripe),
+            }
+        }
+        stale
+    }
+
     /// The remount path: recovers both partition FTLs from flash after
     /// a power cut and re-attaches the host state on top.
     ///
@@ -322,18 +352,21 @@ impl SosDevice {
     ///
     /// 1. rebuilds each FTL's L2P map, valid counts and free list from
     ///    the OOB scan ([`Ftl::recover_in_place`]),
-    /// 2. re-adopts LPN allocations from the object directory and
-    ///    re-trims resurrected pages no object references (trims are
-    ///    volatile until checkpointed),
-    /// 3. rebuilds SYS stripe membership from the directory and repairs
-    ///    crash-window SYS losses from surviving parity; what parity
+    /// 2. re-adopts LPN allocations from the object directory, through
+    ///    one dense referenced-page map per partition, and re-trims
+    ///    resurrected pages no object references (trims are volatile
+    ///    until checkpointed),
+    /// 3. rebuilds SYS stripe membership from the same map and repairs
+    ///    crash-window SYS losses from surviving parity, visiting only
+    ///    objects with an unmapped page; what parity
     ///    cannot rebuild is declared in [`RemountReport::sys_lost`] and
     ///    marked as damage on the owning object,
     /// 4. tolerates SPARE losses, declaring them in
     ///    [`RemountReport::spare_lost`],
-    /// 5. recomputes every live stripe's parity (the RAID-5 write hole:
-    ///    a cut between a member write and its parity update leaves
-    ///    parity stale).
+    /// 5. recomputes every live stripe's parity and rewrites the parity
+    ///    pages that are stale (the RAID-5 write hole: a cut between a
+    ///    member write and its parity update leaves parity stale); a
+    ///    current parity page is left as it is.
     ///
     /// On error the device is poisoned and must be discarded.
     pub fn recover_in_place(&mut self) -> Result<RemountReport, FtlError> {
@@ -345,23 +378,23 @@ impl SosDevice {
             ..RemountReport::default()
         };
 
-        // Re-adopt LPN allocations from the object directory.
-        let mut sys_refs: BTreeSet<u64> = BTreeSet::new();
-        let mut spare_refs: BTreeSet<u64> = BTreeSet::new();
+        // Re-adopt LPN allocations from the object directory: one dense
+        // referenced-page map per partition, built in a single pass.
+        let mut sys_referenced = vec![false; parity_base as usize];
+        let mut spare_referenced = vec![false; self.spare.ftl.logical_pages() as usize];
         for info in self.objects.values() {
-            match info.partition {
-                Partition::Sys => sys_refs.extend(info.lpns.iter().copied()),
-                Partition::Spare => spare_refs.extend(info.lpns.iter().copied()),
+            let referenced = match info.partition {
+                Partition::Sys => &mut sys_referenced,
+                Partition::Spare => &mut spare_referenced,
+            };
+            for &lpn in &info.lpns {
+                if let Some(slot) = referenced.get_mut(lpn as usize) {
+                    *slot = true;
+                }
             }
         }
-        self.sys.pool = crate::partition::LpnPool::new(parity_base);
-        self.sys
-            .pool
-            .reserve(&sys_refs.iter().copied().collect::<Vec<u64>>());
-        self.spare.pool = crate::partition::LpnPool::new(self.spare.ftl.logical_pages());
-        self.spare
-            .pool
-            .reserve(&spare_refs.iter().copied().collect::<Vec<u64>>());
+        self.sys.pool = LpnPool::with_referenced(&sys_referenced);
+        self.spare.pool = LpnPool::with_referenced(&spare_referenced);
         // Budgets reflect what the recovered FTLs can sustain (wear and
         // retirement survive the crash in the device).
         let sys_deficit = self
@@ -379,33 +412,37 @@ impl SosDevice {
         // Volatile trims: drop every mapped data LPN no object
         // references (resurrected trims, plus pages of operations that
         // never reached the directory before the cut).
-        for lpn in 0..parity_base {
-            if self.sys.ftl.is_mapped(lpn) && !sys_refs.contains(&lpn) {
-                self.sys.ftl.trim(lpn)?;
-                report.resurrected_trimmed += 1;
-            }
-        }
-        for lpn in 0..self.spare.ftl.logical_pages() {
-            if self.spare.ftl.is_mapped(lpn) && !spare_refs.contains(&lpn) {
-                self.spare.ftl.trim(lpn)?;
-                report.resurrected_trimmed += 1;
-            }
-        }
+        report.resurrected_trimmed = self.sys.trim_unreferenced(&sys_referenced)?
+            + self.spare.trim_unreferenced(&spare_referenced)?;
 
         // Stripe membership is RAM state; rebuild it from the
-        // directory, then repair crash-window SYS losses from the
+        // directory, then repair crash-window losses from the
         // pre-refresh parity (still consistent with the stripe unless
         // the parity write itself tore — the documented write hole).
-        self.stripes = StripeManager::rebuild(width, parity_base, sys_refs.iter().copied());
-        let ids: Vec<ObjectId> = self.objects.keys().copied().collect();
+        // Only objects with an unmapped page need a visit; each is found
+        // when its turn comes, as a repair's GC can still lose a page.
+        self.stripes = StripeManager::rebuild(width, parity_base, &sys_referenced);
         let mut newly_damaged = 0u64;
-        for id in ids {
-            let Some(info) = self.objects.get(&id).cloned() else {
-                continue;
+        let mut visited = None;
+        loop {
+            let unmapped = self
+                .objects
+                .range((
+                    visited.map_or(Bound::Unbounded, Bound::Excluded),
+                    Bound::Unbounded,
+                ))
+                .find(|(_, info)| {
+                    let ftl = &self.partition(info.partition).ftl;
+                    info.lpns.iter().any(|&lpn| !ftl.is_mapped(lpn))
+                })
+                .map(|(&id, info)| (id, info.partition, info.lpns.clone()));
+            let Some((id, partition, lpns)) = unmapped else {
+                break;
             };
+            visited = Some(id);
             let mut object_lost = false;
-            for &lpn in &info.lpns {
-                match info.partition {
+            for lpn in lpns {
+                match partition {
                     Partition::Sys => {
                         if self.sys.ftl.is_mapped(lpn) {
                             continue;
@@ -448,8 +485,8 @@ impl SosDevice {
         }
         self.counters.objects_damaged += newly_damaged;
 
-        // Refresh parity for every live stripe and drop parity pages of
-        // stripes with no surviving members.
+        // Rewrite the parity of every stale live stripe and drop parity
+        // pages of stripes with no surviving members.
         report.parity_refreshed = self.stripes.scrub_parity(&mut self.sys.ftl)?;
         for lpn in parity_base..self.sys.ftl.logical_pages() {
             if self.sys.ftl.is_mapped(lpn) && !self.stripes.has_stripe(lpn - parity_base) {
@@ -781,6 +818,38 @@ mod tests {
         // The device is writable again after remount.
         device.put(1000, &a, Partition::Sys).unwrap();
         assert_eq!(device.get(1000).unwrap().bytes, a);
+    }
+
+    #[test]
+    fn back_to_back_remounts_program_nothing() {
+        use sos_flash::{FaultAt, FaultKind};
+        let mut device = device();
+        let page = device.sys.ftl.page_bytes();
+        let data: Vec<u8> = (0..page * 5).map(|i| (i % 239) as u8).collect();
+        for id in 1..=6 {
+            device.put(id, &data, Partition::Sys).unwrap();
+        }
+        device.checkpoint().unwrap();
+        let at = device.injector_op_count(Partition::Sys) + 40;
+        device.arm_fault(
+            Partition::Sys,
+            FaultPlan {
+                kind: FaultKind::PowerCut,
+                at: FaultAt::OpCount(at),
+            },
+            5,
+        );
+        assert_eq!(device.update(2, &data[page..]), Err(ObjectError::PowerLoss));
+        device.recover_in_place().unwrap();
+        assert_eq!(device.stale_stripes(), Vec::<u64>::new());
+
+        let programs = device.sys.ftl.device().stats().programs;
+        let report = device.recover_in_place().unwrap();
+        assert_eq!(report.parity_refreshed, 0, "{report:?}");
+        assert_eq!(device.sys.ftl.device().stats().programs, programs);
+        for id in 1..=6 {
+            assert_eq!(device.get(id).unwrap().bytes, data);
+        }
     }
 
     #[test]

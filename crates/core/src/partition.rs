@@ -31,6 +31,25 @@ impl LpnPool {
         }
     }
 
+    /// Pool over `0..referenced.len()` with the pages marked in
+    /// `referenced` already allocated, as the remount path re-adopts the
+    /// allocations recorded in the surviving object directory. The free
+    /// list is [`Self::new`]'s minus the referenced pages, in the same
+    /// order, so the same directory always yields the same allocations.
+    pub(crate) fn with_referenced(referenced: &[bool]) -> Self {
+        let pages = referenced.len() as u64;
+        let free: Vec<u64> = (0..pages)
+            .rev()
+            .zip(referenced.iter().rev())
+            .filter_map(|(lpn, &taken)| (!taken).then_some(lpn))
+            .collect();
+        LpnPool {
+            allocated: pages - free.len() as u64,
+            free,
+            budget: pages,
+        }
+    }
+
     /// Pages currently allocated.
     pub fn allocated(&self) -> u64 {
         self.allocated
@@ -46,19 +65,6 @@ impl LpnPool {
     /// budget.
     pub fn shrink_budget(&mut self, new_budget: u64) {
         self.budget = self.budget.min(new_budget);
-    }
-
-    /// Claims specific pages out of the free list, as the remount path
-    /// does when re-adopting allocations recorded in the surviving
-    /// object directory. Pages not currently free are ignored.
-    pub fn reserve(&mut self, lpns: &[u64]) {
-        if lpns.is_empty() {
-            return;
-        }
-        let claimed: std::collections::HashSet<u64> = lpns.iter().copied().collect();
-        let before = self.free.len();
-        self.free.retain(|lpn| !claimed.contains(lpn));
-        self.allocated += (before - self.free.len()) as u64;
     }
 
     /// Allocates `count` pages, or `None` (pool unchanged) if the
@@ -200,6 +206,19 @@ impl PartitionStore {
         Ok(())
     }
 
+    /// Trims every mapped LPN below `referenced.len()` that
+    /// `referenced` does not mark live, returning how many it trimmed.
+    pub(crate) fn trim_unreferenced(&mut self, referenced: &[bool]) -> Result<u64, FtlError> {
+        let mut trimmed = 0;
+        for (lpn, &live) in (0u64..).zip(referenced) {
+            if !live && self.ftl.is_mapped(lpn) {
+                self.ftl.trim(lpn)?;
+                trimmed += 1;
+            }
+        }
+        Ok(trimmed)
+    }
+
     /// Processes pending FTL events, shrinking the pool budget on
     /// capacity loss. Returns the LPNs whose data the FTL reported lost.
     pub fn process_events(&mut self) -> Vec<u64> {
@@ -259,6 +278,38 @@ mod tests {
         assert!(pool.allocate(4).is_none());
         assert!(pool.allocate(3).is_some());
         assert!(pool.allocate(1).is_none());
+    }
+
+    #[test]
+    fn referenced_pool_matches_claiming_from_a_fresh_pool() {
+        // Oracle: a fresh pool with the referenced pages claimed out of
+        // its free list one by one.
+        fn claimed(referenced: &[bool]) -> LpnPool {
+            let mut pool = LpnPool::new(referenced.len() as u64);
+            let before = pool.free.len();
+            pool.free.retain(|&lpn| !referenced[lpn as usize]);
+            pool.allocated += (before - pool.free.len()) as u64;
+            pool
+        }
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        for case in 0..200u64 {
+            let pages = case % 67;
+            let referenced: Vec<bool> = (0..pages)
+                .map(|_| {
+                    rng ^= rng << 13;
+                    rng ^= rng >> 7;
+                    rng ^= rng << 17;
+                    rng % 4 < case % 5
+                })
+                .collect();
+            let mut pool = LpnPool::with_referenced(&referenced);
+            let mut oracle = claimed(&referenced);
+            assert_eq!(pool.free, oracle.free, "free order, case {case}");
+            assert_eq!(pool.allocated(), oracle.allocated(), "case {case}");
+            assert_eq!(pool.budget(), oracle.budget(), "case {case}");
+            let count = pool.free.len() as u64 / 2;
+            assert_eq!(pool.allocate(count), oracle.allocate(count));
+        }
     }
 
     #[test]

@@ -49,16 +49,24 @@ impl StripeManager {
 
     /// Rebuilds stripe membership from the data LPNs referenced by the
     /// surviving object directory (the remount path: membership is RAM
-    /// state and does not itself survive a crash).
-    pub fn rebuild(width: u64, parity_base: u64, data_lpns: impl IntoIterator<Item = u64>) -> Self {
+    /// state and does not itself survive a crash). `referenced[l]` marks
+    /// data LPN `l` as live.
+    pub fn rebuild(width: u64, parity_base: u64, referenced: &[bool]) -> Self {
+        debug_assert!(
+            referenced.len() as u64 <= parity_base,
+            "parity-range LPN in object data"
+        );
         let mut manager = StripeManager::new(width, parity_base);
-        for lpn in data_lpns {
-            debug_assert!(lpn < parity_base, "parity-range LPN in object data");
-            let stripe = manager.stripe_of(lpn);
-            let members = manager.members.entry(stripe).or_default();
-            if !members.contains(&lpn) {
-                members.push(lpn);
+        let mut first = 0;
+        for (stripe, chunk) in (0u64..).zip(referenced.chunks(width as usize)) {
+            let members: Vec<u64> = (first..)
+                .zip(chunk)
+                .filter_map(|(lpn, &live)| live.then_some(lpn))
+                .collect();
+            if !members.is_empty() {
+                manager.members.insert(stripe, members);
             }
+            first += width;
         }
         manager
     }
@@ -68,33 +76,40 @@ impl StripeManager {
         self.members.contains_key(&stripe)
     }
 
-    /// Recomputes and rewrites every live stripe's parity page from its
-    /// readable members. The remount path runs this after crash
+    /// Recomputes every live stripe's parity from its readable members
+    /// and rewrites the parity page only where the stored page differs
+    /// or does not read back. The remount path runs this after crash
     /// recovery: a power cut between a member write and its parity
     /// update (the classic RAID-5 write hole) leaves parity stale, and
     /// a volatile trim may have resurrected a parity page for a stripe
-    /// whose membership changed. Returns the number of stripes
-    /// refreshed.
-    pub fn scrub_parity(&mut self, ftl: &mut Ftl) -> Result<u64, FtlError> {
-        let stripes: Vec<u64> = self.members.keys().copied().collect();
-        let mut refreshed = 0;
-        for stripe in stripes {
-            let members = match self.members.get(&stripe) {
-                Some(members) => members.clone(),
-                None => continue,
-            };
-            let mut parity = vec![0u8; ftl.page_bytes()];
-            for &member in &members {
+    /// whose membership changed. Members are always read: a parity page
+    /// newer than every member can still be stale, because `update` and
+    /// `migrate` rewrite parity without the old members before the
+    /// directory stops referencing them. Returns the number of stale stripes
+    /// rewritten.
+    pub fn scrub_parity(&self, ftl: &mut Ftl) -> Result<u64, FtlError> {
+        let mut rewritten = 0;
+        let mut parity = vec![0u8; ftl.page_bytes()];
+        for (&stripe, members) in &self.members {
+            parity.fill(0);
+            for &member in members {
                 if let Ok(result) = ftl.read(member) {
                     for (p, &b) in parity.iter_mut().zip(&result.data) {
                         *p ^= b;
                     }
                 }
             }
-            ftl.write_placed(self.parity_lpn(stripe), &parity, PlacementHandle::PARITY)?;
-            refreshed += 1;
+            let parity_lpn = self.parity_lpn(stripe);
+            if ftl
+                .read(parity_lpn)
+                .is_ok_and(|stored| stored.data == parity)
+            {
+                continue;
+            }
+            ftl.write_placed(parity_lpn, &parity, PlacementHandle::PARITY)?;
+            rewritten += 1;
         }
-        Ok(refreshed)
+        Ok(rewritten)
     }
 
     /// How many data LPNs this layout supports.
@@ -311,6 +326,30 @@ mod tests {
         assert!(stripes.reconstruct(&mut ftl, 0).is_none());
         ftl.trim(1).unwrap();
         assert_eq!(stripes.reconstruct(&mut ftl, 1).unwrap(), b);
+    }
+
+    #[test]
+    fn scrub_rewrites_only_stale_parity() {
+        let (mut ftl, mut stripes) = setup();
+        // Two members in each of stripes 0 and 1.
+        for (lpn, byte) in [(0u64, 0x11u8), (1, 0x22), (4, 0x44), (5, 0x55)] {
+            let data = page(&ftl, byte);
+            ftl.write(lpn, &data).unwrap();
+            stripes.on_write(&mut ftl, lpn, &data).unwrap();
+        }
+        let wrong = page(&ftl, 0xEE);
+        ftl.write_placed(stripes.parity_lpn(1), &wrong, PlacementHandle::PARITY)
+            .unwrap();
+        let programs = ftl.device().stats().programs;
+        assert_eq!(stripes.scrub_parity(&mut ftl).unwrap(), 1);
+        assert_eq!(ftl.device().stats().programs, programs + 1);
+        assert_eq!(
+            ftl.read(stripes.parity_lpn(1)).unwrap().data,
+            page(&ftl, 0x44 ^ 0x55)
+        );
+        let programs = ftl.device().stats().programs;
+        assert_eq!(stripes.scrub_parity(&mut ftl).unwrap(), 0);
+        assert_eq!(ftl.device().stats().programs, programs);
     }
 
     #[test]
