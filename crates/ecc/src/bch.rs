@@ -699,8 +699,28 @@ impl BchCode {
     /// Returns [`BchError::Uncorrectable`] when more than `t` errors are
     /// present (with high probability — silent miscorrection is possible
     /// beyond `t`, exactly as on real hardware).
-    // sos-lint: allow(panic-path, "error locations are reduced modulo the code length before flipping bits")
     pub fn decode(&self, data: &mut [u8], parity: &mut [u8]) -> Result<usize, BchError> {
+        self.decode_with(data, parity, true)
+    }
+
+    /// [`Self::decode`] for a word known to carry bit flips: skips the
+    /// clean-word fast accept, whose re-encode would only fail. Same
+    /// result, since a valid codeword still has all-zero syndromes.
+    pub(crate) fn decode_flipped(
+        &self,
+        data: &mut [u8],
+        parity: &mut [u8],
+    ) -> Result<usize, BchError> {
+        self.decode_with(data, parity, false)
+    }
+
+    // sos-lint: allow(panic-path, "error locations are reduced modulo the code length before flipping bits")
+    fn decode_with(
+        &self,
+        data: &mut [u8],
+        parity: &mut [u8],
+        fast_accept: bool,
+    ) -> Result<usize, BchError> {
         let data_bits = data.len() * 8;
         if data_bits > self.k {
             return Err(BchError::DataTooLong {
@@ -730,7 +750,7 @@ impl BchCode {
         // times cheaper than the 2t-lane syndrome pass. Any mismatch
         // (including parity-byte corruption) falls through to the full
         // decoder.
-        if self.parity_matches(data, parity) {
+        if fast_accept && self.parity_matches(data, parity) {
             return Ok(0);
         }
         let syndromes = self.syndromes(data, parity);

@@ -39,6 +39,66 @@ pub fn crc32(data: &[u8]) -> u32 {
     !crc
 }
 
+/// How [`crc32`] of a `len`-byte message changes when its bit `bit`
+/// (bit `bit % 8` of byte `bit / 8`) flips.
+///
+/// CRC-32 is affine over GF(2), so the change does not depend on the
+/// message, and flipping several bits changes the CRC by the XOR of
+/// their deltas. This lets a reader that knows which bits flipped compare
+/// against a CRC without a pass over the message. Bits past the message
+/// have no effect (delta 0).
+pub fn crc32_flip_delta(len: usize, bit: usize) -> u32 {
+    let byte = bit / 8;
+    let Some(zeros) = len.checked_sub(byte + 1) else {
+        return 0;
+    };
+    // From a zero register, the flipped byte leaves its table entry;
+    // each following zero byte then applies the linear step
+    // `crc -> (crc >> 8) ^ table[crc & 0xFF]`, taken in powers of two.
+    let mut delta = table().get(1usize << (bit % 8)).copied().unwrap_or(0);
+    let mut remaining = zeros;
+    for step in zero_steps() {
+        if remaining == 0 {
+            break;
+        }
+        if remaining & 1 == 1 {
+            delta = apply(step, delta);
+        }
+        remaining >>= 1;
+    }
+    delta
+}
+
+/// The linear step of `2^i` zero bytes, for every `i` a `usize` length
+/// can need, each as the images of the 32 register bits.
+fn zero_steps() -> &'static [[u32; 32]] {
+    use std::sync::OnceLock;
+    static STEPS: OnceLock<Vec<[u32; 32]>> = OnceLock::new();
+    STEPS.get_or_init(|| {
+        let t = table();
+        let mut step = [0u32; 32];
+        for (k, image) in step.iter_mut().enumerate() {
+            let crc = 1u32 << k;
+            *image = (crc >> 8) ^ t.get((crc & 0xFF) as usize).copied().unwrap_or(0);
+        }
+        let mut steps = Vec::with_capacity(usize::BITS as usize);
+        for _ in 0..usize::BITS {
+            steps.push(step);
+            step = step.map(|image| apply(&step, image));
+        }
+        steps
+    })
+}
+
+/// Applies a linear map, given as the images of the register bits.
+fn apply(images: &[u32; 32], crc: u32) -> u32 {
+    images
+        .iter()
+        .enumerate()
+        .filter(|&(k, _)| crc >> k & 1 == 1)
+        .fold(0, |acc, (_, image)| acc ^ image)
+}
+
 /// Incremental CRC-32 state for streaming use.
 #[derive(Debug, Clone, Copy)]
 pub struct Crc32 {
@@ -104,6 +164,40 @@ mod tests {
                 corrupted[byte] ^= 1 << bit;
                 assert_ne!(crc32(&corrupted), clean, "missed flip at {byte}:{bit}");
             }
+        }
+    }
+
+    #[test]
+    fn flip_delta_matches_recomputation() {
+        let data: Vec<u8> = (0..3000u32).map(|i| (i * 131 + 7) as u8).collect();
+        for len in [1usize, 2, 9, 64, 1537, 3000] {
+            let message = &data[..len];
+            let clean = crc32(message);
+            let mut bits: Vec<usize> = (0..8).collect();
+            bits.extend(
+                [len * 4 + 3, (len * 8).saturating_sub(9), len * 8 - 1]
+                    .into_iter()
+                    .filter(|&b| b < len * 8),
+            );
+            for bit in bits {
+                let mut flipped = message.to_vec();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                assert_eq!(
+                    crc32_flip_delta(len, bit),
+                    clean ^ crc32(&flipped),
+                    "len {len} bit {bit}"
+                );
+            }
+            // Several flips: the deltas XOR together.
+            let several = [1, len * 8 / 2, len * 8 - 1];
+            let mut flipped = message.to_vec();
+            let mut delta = 0;
+            for &bit in &several {
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                delta ^= crc32_flip_delta(len, bit);
+            }
+            assert_eq!(delta, clean ^ crc32(&flipped), "len {len}");
+            assert_eq!(crc32_flip_delta(len, len * 8), 0);
         }
     }
 

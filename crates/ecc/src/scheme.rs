@@ -5,6 +5,9 @@
 //! of increased error rates over time" (§4.2). A [`PageCodec`] binds one
 //! [`EccScheme`] to a page geometry: `encode` packs data + redundancy into
 //! `data + spare` bytes, `decode` recovers data and reports its status.
+//! The FTL uses the deferred-parity pair instead: `frame` stores data
+//! with a zero spare area, and `decode_framed` computes only the
+//! redundancy a read with injected errors consults.
 //!
 //! The [`EccScheme::PrioritySplit`] variant implements approximate storage
 //! in the style of Sampson et al. (TOCS '14): a protected prefix (headers,
@@ -13,7 +16,7 @@
 //! object.
 
 use crate::bch::{BchCode, BchError};
-use crate::crc::crc32;
+use crate::crc::{crc32, crc32_flip_delta};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -241,45 +244,68 @@ impl PageCodec {
         self.data_bytes + self.spare_bytes
     }
 
+    /// Checks that `data` is exactly one payload long.
+    fn check_data(&self, data: &[u8]) -> Result<(), CodecError> {
+        if data.len() == self.data_bytes {
+            Ok(())
+        } else {
+            Err(CodecError::WrongDataLength {
+                expected: self.data_bytes,
+                got: data.len(),
+            })
+        }
+    }
+
+    /// Splits a raw page into its data and spare areas.
+    fn split_raw<'a>(&self, raw: &'a [u8]) -> Result<(&'a [u8], &'a [u8]), CodecError> {
+        if raw.len() != self.raw_bytes() {
+            return Err(CodecError::WrongRawLength {
+                expected: self.raw_bytes(),
+                got: raw.len(),
+            });
+        }
+        Ok(raw.split_at(self.data_bytes))
+    }
+
     /// Encodes `data` into a raw page (data followed by redundancy and
     /// zero padding to the spare size).
     ///
     /// # Errors
     ///
     /// Fails if `data` is not exactly `data_bytes` long.
-    // sos-lint: allow(panic-path, "chunk offsets are multiples of sizes fixed at codec construction and checked against the input length")
     pub fn encode(&self, data: &[u8]) -> Result<Vec<u8>, CodecError> {
-        if data.len() != self.data_bytes {
-            return Err(CodecError::WrongDataLength {
-                expected: self.data_bytes,
-                got: data.len(),
-            });
-        }
+        self.check_data(data)?;
         let mut raw = Vec::with_capacity(self.raw_bytes());
         raw.extend_from_slice(data);
-        match self.scheme {
-            EccScheme::None => {}
-            EccScheme::DetectOnly => {
-                raw.extend_from_slice(&crc32(data).to_le_bytes());
-            }
-            EccScheme::Bch { t } => {
-                let code = self.code_for(t);
-                for chunk in data.chunks(CHUNK_BYTES) {
-                    code.encode_append(chunk, &mut raw);
-                }
-            }
-            EccScheme::PrioritySplit {
-                t,
-                protected_chunks,
-            } => {
-                let code = self.code_for(t);
-                let protected_end = (protected_chunks * CHUNK_BYTES).min(data.len());
-                for chunk in data[..protected_end].chunks(CHUNK_BYTES) {
-                    code.encode_append(chunk, &mut raw);
-                }
-                raw.extend_from_slice(&crc32(&data[protected_end..]).to_le_bytes());
+        let layout = self.layout();
+        let (head, tail) = data.split_at(layout.end);
+        if let Some(code) = &layout.code {
+            for chunk in head.chunks(CHUNK_BYTES) {
+                code.encode_append(chunk, &mut raw);
             }
         }
+        if layout.crc_at.is_some() {
+            raw.extend_from_slice(&crc32(tail).to_le_bytes());
+        }
+        raw.resize(self.raw_bytes(), 0);
+        Ok(raw)
+    }
+
+    /// Frames `data` for programming without computing its redundancy:
+    /// data followed by a zero spare area.
+    ///
+    /// The redundancy is a pure function of the data, so the simulator
+    /// stores only the data and [`Self::decode_framed`] rebuilds the
+    /// parity a read actually consults from the un-flipped data. Reads
+    /// without injected errors — nearly all of them — never need it.
+    ///
+    /// # Errors
+    ///
+    /// Fails if `data` is not exactly `data_bytes` long.
+    pub fn frame(&self, data: &[u8]) -> Result<Vec<u8>, CodecError> {
+        self.check_data(data)?;
+        let mut raw = Vec::with_capacity(self.raw_bytes());
+        raw.extend_from_slice(data);
         raw.resize(self.raw_bytes(), 0);
         Ok(raw)
     }
@@ -291,96 +317,178 @@ impl PageCodec {
     /// carry errors — simulator knowledge standing in for a hardware
     /// zero-syndrome shortcut. Chunks without dirty bits decode to
     /// themselves, so skipping them is observationally equivalent.
-    // sos-lint: allow(panic-path, "chunk offsets are multiples of sizes fixed at codec construction and the raw length is validated up front")
+    ///
+    /// # Errors
+    ///
+    /// Fails only on length mismatch.
     pub fn decode_with_dirty(
         &self,
         raw: &[u8],
         dirty_bits: &[usize],
     ) -> Result<DecodeReport, CodecError> {
-        if raw.len() != self.raw_bytes() {
-            return Err(CodecError::WrongRawLength {
-                expected: self.raw_bytes(),
-                got: raw.len(),
-            });
-        }
+        let (data, spare) = self.split_raw(raw)?;
+        let mut data = data.to_vec();
         if dirty_bits.is_empty() {
-            return Ok(DecodeReport {
-                data: raw[..self.data_bytes].to_vec(),
-                corrected_bits: 0,
-                status: PageStatus::Intact,
-            });
+            return Ok(intact(data));
         }
         // A dirty byte anywhere in the spare area may hit any chunk's
         // parity or the CRC; fall back to the full decode in that case.
-        if dirty_bits.iter().any(|&b| b / 8 >= self.data_bytes) {
-            return self.decode(raw);
+        if self.spare_is_dirty(dirty_bits) {
+            return Ok(self.decode_parts(data, spare));
         }
-        let dirty_chunks: std::collections::HashSet<usize> =
-            dirty_bits.iter().map(|&b| b / 8 / CHUNK_BYTES).collect();
-        let mut data = raw[..self.data_bytes].to_vec();
-        let spare = &raw[self.data_bytes..];
-        let mut corrected = 0usize;
-        let status = match self.scheme {
-            EccScheme::None => PageStatus::Intact,
-            EccScheme::DetectOnly => PageStatus::DegradedDetected, // dirty data bits exist
-            EccScheme::Bch { t } => {
-                let code = self.code_for(t);
+        let layout = self.layout();
+        let (head, _tail) = data.split_at_mut(layout.end);
+        let (corrected_bits, failed) = match &layout.code {
+            Some(code) => {
+                let mask = data_chunk_mask(dirty_bits, layout.end);
+                correct_chunks(code, head, mask, &mut spare.to_vec(), false)
+            }
+            None => (0, false),
+        };
+        let status = layout.data_only_status(failed, dirty_bits);
+        Ok(DecodeReport {
+            data,
+            corrected_bits,
+            status,
+        })
+    }
+
+    /// Decodes a page written by [`Self::frame`], computing only the
+    /// redundancy this read consults.
+    ///
+    /// `noisy` is the framed page with the bit positions in
+    /// `dirty_bits` flipped (the flash read's injected errors; a
+    /// position listed twice is flipped twice). The result equals
+    /// [`Self::decode_with_dirty`] on the eagerly encoded page with the
+    /// same flips, in data, status and corrected bits:
+    ///
+    /// * no dirty bits: the data is returned as is;
+    /// * otherwise every BCH chunk with a dirty bit in its data or its
+    ///   parity is un-flipped in place, encoded and re-flipped, its
+    ///   parity flips are applied, and the decoder runs on exactly the
+    ///   codeword the eager page would hold. Other chunks are clean on
+    ///   both sides and decode to themselves;
+    /// * a CRC is consulted as the eager path would: from the dirty
+    ///   bits alone when only data bits are dirty, and as a comparison
+    ///   of the tail with its stored CRC when the spare is. That
+    ///   comparison needs no CRC pass: both sides differ from the clean
+    ///   tail's CRC by the flips' deltas ([`crc32_flip_delta`]).
+    ///
+    /// The stored spare is never read, so an eagerly encoded page
+    /// decodes the same way.
+    ///
+    /// # Errors
+    ///
+    /// Fails only on length mismatch.
+    pub fn decode_framed(
+        &self,
+        noisy: &[u8],
+        dirty_bits: &[usize],
+    ) -> Result<DecodeReport, CodecError> {
+        let (data, _stored_spare) = self.split_raw(noisy)?;
+        let mut data = data.to_vec();
+        if dirty_bits.is_empty() {
+            return Ok(intact(data));
+        }
+        let layout = self.layout();
+        let spare_base = self.data_bytes * 8;
+        let (head, tail) = data.split_at_mut(layout.end);
+        let (corrected_bits, failed) = match &layout.code {
+            Some(code) => {
                 let pb = code.parity_bytes();
-                let mut failed = false;
-                for (index, chunk) in data.chunks_mut(CHUNK_BYTES).enumerate() {
-                    if !dirty_chunks.contains(&index) {
-                        continue;
+                let parity_len = chunk_count(head) * pb;
+                let parity_hits = dirty_bits
+                    .iter()
+                    .filter_map(|&bit| bit.checked_sub(spare_base))
+                    .map(|bit| bit / 8)
+                    .filter(|&byte| byte < parity_len);
+                match data_chunk_mask(dirty_bits, layout.end) | chunk_mask(parity_hits, pb) {
+                    0 => (0, false),
+                    mask => {
+                        // One parity slot per chunk, laid out as in the
+                        // spare area; only the selected chunks are encoded.
+                        let mut parity = Vec::with_capacity(parity_len);
+                        flip_bits(head, dirty_bits, 0);
+                        for (index, chunk) in head.chunks(CHUNK_BYTES).enumerate() {
+                            if selected(mask, index) {
+                                code.encode_append(chunk, &mut parity);
+                            } else {
+                                parity.resize(parity.len() + pb, 0);
+                            }
+                        }
+                        flip_bits(head, dirty_bits, 0);
+                        flip_bits(&mut parity, dirty_bits, spare_base);
+                        correct_chunks(code, head, mask, &mut parity, true)
                     }
-                    let offset = index * pb;
-                    let mut parity = spare[offset..offset + pb].to_vec();
-                    match code.decode(chunk, &mut parity) {
-                        Ok(n) => corrected += n,
-                        Err(BchError::Uncorrectable) => failed = true,
-                        Err(e) => unreachable!("codec sizing bug: {e}"),
-                    }
-                }
-                if failed {
-                    PageStatus::Uncorrectable
-                } else {
-                    PageStatus::Intact
                 }
             }
+            None => (0, false),
+        };
+        let status = match layout.crc_at {
+            Some(crc_at) if !failed && self.spare_is_dirty(dirty_bits) => {
+                // The eager full decode compares the tail's CRC with the
+                // stored one. Both differ from the clean tail's CRC by
+                // flips alone: the tail flips move the computed CRC by
+                // their deltas, the CRC-byte flips move the stored one.
+                let tail_base = layout.end * 8;
+                let computed = dirty_bits
+                    .iter()
+                    .filter_map(|&bit| bit.checked_sub(tail_base))
+                    .fold(0, |delta, bit| delta ^ crc32_flip_delta(tail.len(), bit));
+                let mut stored = [0u8; 4];
+                flip_bits(&mut stored, dirty_bits, spare_base + crc_at * 8);
+                if u32::from_le_bytes(stored) == computed {
+                    PageStatus::Intact
+                } else {
+                    PageStatus::DegradedDetected
+                }
+            }
+            _ => layout.data_only_status(failed, dirty_bits),
+        };
+        Ok(DecodeReport {
+            data,
+            corrected_bits,
+            status,
+        })
+    }
+
+    /// Whether any dirty bit lies in the spare area.
+    fn spare_is_dirty(&self, dirty_bits: &[usize]) -> bool {
+        dirty_bits.iter().any(|&bit| bit / 8 >= self.data_bytes)
+    }
+
+    /// Where this scheme's redundancy lives.
+    fn layout(&self) -> Layout {
+        match self.scheme {
+            EccScheme::None => Layout {
+                code: None,
+                end: 0,
+                crc_at: None,
+            },
+            EccScheme::DetectOnly => Layout {
+                code: None,
+                end: 0,
+                crc_at: Some(0),
+            },
+            EccScheme::Bch { t } => Layout {
+                code: Some(self.code_for(t)),
+                end: self.data_bytes,
+                crc_at: None,
+            },
             EccScheme::PrioritySplit {
                 t,
                 protected_chunks,
             } => {
                 let code = self.code_for(t);
-                let pb = code.parity_bytes();
-                let protected_end = (protected_chunks * CHUNK_BYTES).min(data.len());
-                let mut failed = false;
-                let tail_dirty = dirty_bits.iter().any(|&b| b / 8 >= protected_end);
-                let (head, _tail) = data.split_at_mut(protected_end);
-                for (index, chunk) in head.chunks_mut(CHUNK_BYTES).enumerate() {
-                    if !dirty_chunks.contains(&index) {
-                        continue;
-                    }
-                    let offset = index * pb;
-                    let mut parity = spare[offset..offset + pb].to_vec();
-                    match code.decode(chunk, &mut parity) {
-                        Ok(n) => corrected += n,
-                        Err(BchError::Uncorrectable) => failed = true,
-                        Err(e) => unreachable!("codec sizing bug: {e}"),
-                    }
-                }
-                if failed {
-                    PageStatus::Uncorrectable
-                } else if tail_dirty {
-                    PageStatus::DegradedDetected
-                } else {
-                    PageStatus::Intact
+                let end = protected_end(protected_chunks, self.data_bytes);
+                let crc_at = end.div_ceil(CHUNK_BYTES) * code.parity_bytes();
+                Layout {
+                    code: Some(code),
+                    end,
+                    crc_at: Some(crc_at),
                 }
             }
-        };
-        Ok(DecodeReport {
-            data,
-            corrected_bits: corrected,
-            status,
-        })
+        }
     }
 
     /// Decodes a raw page, correcting protected chunks and checking
@@ -390,82 +498,157 @@ impl PageCodec {
     ///
     /// Fails only on length mismatch; data-integrity problems are
     /// reported through [`DecodeReport::status`].
-    // sos-lint: allow(panic-path, "chunk offsets are multiples of sizes fixed at codec construction and the raw length is validated up front")
     pub fn decode(&self, raw: &[u8]) -> Result<DecodeReport, CodecError> {
-        if raw.len() != self.raw_bytes() {
-            return Err(CodecError::WrongRawLength {
-                expected: self.raw_bytes(),
-                got: raw.len(),
-            });
-        }
-        let mut data = raw[..self.data_bytes].to_vec();
-        let spare = &raw[self.data_bytes..];
-        let mut corrected = 0usize;
-        let status = match self.scheme {
-            EccScheme::None => PageStatus::Intact,
-            EccScheme::DetectOnly => {
-                let stored = u32::from_le_bytes(spare[..4].try_into().expect("4 bytes"));
-                if crc32(&data) == stored {
-                    PageStatus::Intact
-                } else {
-                    PageStatus::DegradedDetected
-                }
-            }
-            EccScheme::Bch { t } => {
-                let code = self.code_for(t);
-                let pb = code.parity_bytes();
-                let mut failed = false;
-                let mut offset = 0;
-                for chunk in data.chunks_mut(CHUNK_BYTES) {
-                    let mut parity = spare[offset..offset + pb].to_vec();
-                    match code.decode(chunk, &mut parity) {
-                        Ok(n) => corrected += n,
-                        Err(BchError::Uncorrectable) => failed = true,
-                        Err(e) => unreachable!("codec sizing bug: {e}"),
-                    }
-                    offset += pb;
-                }
-                if failed {
-                    PageStatus::Uncorrectable
-                } else {
-                    PageStatus::Intact
-                }
-            }
-            EccScheme::PrioritySplit {
-                t,
-                protected_chunks,
-            } => {
-                let code = self.code_for(t);
-                let pb = code.parity_bytes();
-                let protected_end = (protected_chunks * CHUNK_BYTES).min(data.len());
-                let mut failed = false;
-                let mut offset = 0;
-                let (head, tail) = data.split_at_mut(protected_end);
-                for chunk in head.chunks_mut(CHUNK_BYTES) {
-                    let mut parity = spare[offset..offset + pb].to_vec();
-                    match code.decode(chunk, &mut parity) {
-                        Ok(n) => corrected += n,
-                        Err(BchError::Uncorrectable) => failed = true,
-                        Err(e) => unreachable!("codec sizing bug: {e}"),
-                    }
-                    offset += pb;
-                }
-                let stored =
-                    u32::from_le_bytes(spare[offset..offset + 4].try_into().expect("4 bytes"));
-                if failed {
-                    PageStatus::Uncorrectable
-                } else if crc32(tail) != stored {
-                    PageStatus::DegradedDetected
-                } else {
-                    PageStatus::Intact
-                }
-            }
+        let (data, spare) = self.split_raw(raw)?;
+        Ok(self.decode_parts(data.to_vec(), spare))
+    }
+
+    /// The full decode of `data` against its spare area.
+    fn decode_parts(&self, mut data: Vec<u8>, spare: &[u8]) -> DecodeReport {
+        let layout = self.layout();
+        let (head, tail) = data.split_at_mut(layout.end);
+        let (corrected_bits, failed) = match &layout.code {
+            Some(code) => correct_chunks(code, head, u64::MAX, &mut spare.to_vec(), false),
+            None => (0, false),
         };
-        Ok(DecodeReport {
+        let status = match layout.crc_at {
+            _ if failed => PageStatus::Uncorrectable,
+            Some(crc_at) => crc_status(tail, spare.get(crc_at..).unwrap_or_default()),
+            None => PageStatus::Intact,
+        };
+        DecodeReport {
             data,
-            corrected_bits: corrected,
+            corrected_bits,
             status,
-        })
+        }
+    }
+}
+
+/// Where a scheme's redundancy lives: BCH (`code`) over `data[..end]`,
+/// one parity slot per chunk from the start of the spare area, and a
+/// CRC-32 over `data[end..]` at spare offset `crc_at`.
+struct Layout {
+    code: Option<Arc<BchCode>>,
+    end: usize,
+    crc_at: Option<usize>,
+}
+
+impl Layout {
+    /// Status of a read whose dirty bits all lie in the data area: a
+    /// dirty bit in the CRC-covered tail means the CRC cannot match.
+    fn data_only_status(&self, failed: bool, dirty_bits: &[usize]) -> PageStatus {
+        if failed {
+            PageStatus::Uncorrectable
+        } else if self.crc_at.is_some() && dirty_bits.iter().any(|&bit| bit / 8 >= self.end) {
+            PageStatus::DegradedDetected
+        } else {
+            PageStatus::Intact
+        }
+    }
+}
+
+/// A clean read: the data as stored.
+fn intact(data: Vec<u8>) -> DecodeReport {
+    DecodeReport {
+        data,
+        corrected_bits: 0,
+        status: PageStatus::Intact,
+    }
+}
+
+/// End of the BCH-protected prefix of a `len`-byte payload.
+fn protected_end(protected_chunks: usize, len: usize) -> usize {
+    (protected_chunks * CHUNK_BYTES).min(len)
+}
+
+/// Number of codeword chunks in `bytes`.
+fn chunk_count(bytes: &[u8]) -> usize {
+    bytes.len().div_ceil(CHUNK_BYTES)
+}
+
+/// Whether chunk `index` is set in a [`chunk_mask`].
+fn selected(mask: u64, index: usize) -> bool {
+    mask & (1u64 << index.min(63)) != 0
+}
+
+/// Bitmask of the `size`-byte chunks holding the given byte offsets.
+/// Chunks 63 and later share the top bit, so they are all decoded
+/// together — observationally the same as decoding only the dirty
+/// ones, since a clean chunk decodes to itself.
+fn chunk_mask(bytes: impl Iterator<Item = usize>, size: usize) -> u64 {
+    bytes.fold(0, |mask, byte| {
+        mask | 1u64 << byte.checked_div(size).unwrap_or(0).min(63)
+    })
+}
+
+/// Bitmask of the data chunks holding a dirty bit below byte `end`.
+fn data_chunk_mask(dirty_bits: &[usize], end: usize) -> u64 {
+    let bytes = dirty_bits
+        .iter()
+        .map(|&bit| bit / 8)
+        .filter(|&byte| byte < end);
+    chunk_mask(bytes, CHUNK_BYTES)
+}
+
+/// XORs every bit of `bytes` listed in `positions`, which count from
+/// bit `base`; positions outside `bytes` are skipped.
+fn flip_bits(bytes: &mut [u8], positions: &[usize], base: usize) {
+    for &bit in positions {
+        let Some(rel) = bit.checked_sub(base) else {
+            continue;
+        };
+        if let Some(byte) = bytes.get_mut(rel / 8) {
+            *byte ^= 1u8 << (rel % 8);
+        }
+    }
+}
+
+/// Runs the BCH decoder over the chunks of `head` selected by `mask`,
+/// each against its slot of `parity` (one `parity_bytes()` slot per
+/// chunk, as in the spare area). `flipped` marks chunks known to carry
+/// flips, which skip the clean-word fast accept. Returns the bits
+/// corrected and whether any chunk was uncorrectable.
+fn correct_chunks(
+    code: &BchCode,
+    head: &mut [u8],
+    mask: u64,
+    parity: &mut [u8],
+    flipped: bool,
+) -> (usize, bool) {
+    let mut corrected = 0;
+    let mut failed = false;
+    let slots = parity.chunks_mut(code.parity_bytes());
+    for (index, (chunk, parity)) in head.chunks_mut(CHUNK_BYTES).zip(slots).enumerate() {
+        if !selected(mask, index) {
+            continue;
+        }
+        let result = if flipped {
+            code.decode_flipped(chunk, parity)
+        } else {
+            code.decode(chunk, parity)
+        };
+        match result {
+            Ok(n) => corrected += n,
+            Err(e) => {
+                debug_assert_eq!(e, BchError::Uncorrectable, "codec sizing bug");
+                failed = true;
+            }
+        }
+    }
+    (corrected, failed)
+}
+
+/// Detection status of `data` against the CRC-32 stored at the start of
+/// `crc`.
+fn crc_status(data: &[u8], crc: &[u8]) -> PageStatus {
+    let stored = crc
+        .get(..4)
+        .and_then(|bytes| <[u8; 4]>::try_from(bytes).ok())
+        .map(u32::from_le_bytes);
+    if stored == Some(crc32(data)) {
+        PageStatus::Intact
+    } else {
+        PageStatus::DegradedDetected
     }
 }
 
@@ -669,6 +852,34 @@ mod tests {
         let report = codec.decode_with_dirty(&raw, &[]).unwrap();
         assert_eq!(report.status, PageStatus::Intact);
         assert_eq!(report.data, data);
+    }
+
+    #[test]
+    fn chunks_past_the_mask_width_decode_alike() {
+        // 80 chunks: chunks 63..80 share the dirty mask's top bit.
+        let data_bytes = 80 * CHUNK_BYTES;
+        let scheme = EccScheme::Bch { t: 4 };
+        let spare_bytes = scheme.overhead_bytes(data_bytes);
+        let codec = PageCodec::new(scheme, data_bytes, spare_bytes).unwrap();
+        let mut rng = StdRng::seed_from_u64(64);
+        let data: Vec<u8> = (0..data_bytes).map(|_| rng.gen()).collect();
+        let dirty = [3 * 4096 + 5, 70 * 4096 + 9, 70 * 4096 + 10, 79 * 4096];
+        let mut eager = codec.encode(&data).unwrap();
+        let mut framed = codec.frame(&data).unwrap();
+        for &bit in &dirty {
+            eager[bit / 8] ^= 1 << (bit % 8);
+            framed[bit / 8] ^= 1 << (bit % 8);
+        }
+        let full = codec.decode(&eager).unwrap();
+        let selective = codec.decode_with_dirty(&eager, &dirty).unwrap();
+        let deferred = codec.decode_framed(&framed, &dirty).unwrap();
+        assert_eq!(full.data, data);
+        assert_eq!(full.corrected_bits, dirty.len());
+        for report in [selective, deferred] {
+            assert_eq!(report.data, full.data);
+            assert_eq!(report.status, full.status);
+            assert_eq!(report.corrected_bits, full.corrected_bits);
+        }
     }
 
     #[test]

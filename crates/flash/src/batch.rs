@@ -72,6 +72,11 @@ struct BatchEntry {
 }
 
 /// Per-block batched error-count sampler.
+///
+/// The counts it draws depend on the block's stress state and the RNG
+/// alone, never on page content. The FTL's deferred parity relies on
+/// that: it programs pages without their ECC redundancy, and a read's
+/// errors must land where they would have on the fully encoded page.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ErrorBatcher {
     epoch: Option<(ProgramMode, u32)>,

@@ -116,6 +116,11 @@ impl ErrorModel {
 
     /// Flips `count` random distinct bits of `data` in place and returns
     /// the flipped bit positions.
+    ///
+    /// The positions are drawn from the RNG alone and never depend on
+    /// `data`. The FTL's deferred parity relies on that: pages are
+    /// programmed without their ECC redundancy, so the same read must
+    /// flip the same bits whatever the spare area holds.
     pub fn inject_errors<R: Rng + ?Sized>(
         rng: &mut R,
         data: &mut [u8],

@@ -149,7 +149,9 @@ impl FaultInjector {
     }
 
     /// Flips `bits` random bit positions in `data` (transient read
-    /// noise), returning the flipped positions.
+    /// noise), returning the flipped positions. Like the error model's
+    /// injection, the draw never depends on `data` (the FTL's deferred
+    /// parity relies on it).
     pub(crate) fn flip_bits(&mut self, data: &mut [u8], bits: u32) -> Vec<usize> {
         let nbits = data.len() * 8;
         let mut positions = Vec::with_capacity(bits as usize);
@@ -165,6 +167,11 @@ impl FaultInjector {
 
     /// Scrambles the tail of a torn page's payload: a program cut
     /// partway through leaves later cells only partially charged.
+    ///
+    /// The RNG draws depend on the page length only, never on its
+    /// content, so a page programmed without its ECC redundancy (the
+    /// FTL's deferred parity) consumes the injector's stream exactly as
+    /// the fully encoded page would.
     pub(crate) fn tear_data(&mut self, data: &mut [u8]) {
         if data.is_empty() {
             return;

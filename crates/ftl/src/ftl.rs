@@ -458,10 +458,11 @@ impl Ftl {
         };
         // Selective decode: only chunks that actually carry injected
         // errors pay the syndrome pass (observationally equivalent to a
-        // full decode — clean chunks decode to themselves).
+        // full decode — clean chunks decode to themselves), and only
+        // they get parity computed (see `PageCodec::decode_framed`).
         let report = self
             .codec
-            .decode_with_dirty(&outcome.data, &outcome.injected_positions)?;
+            .decode_framed(&outcome.data, &outcome.injected_positions)?;
         self.stats.reads += 1;
         self.stats.corrected_bits += report.corrected_bits as u64;
         if report.status == PageStatus::Uncorrectable {
@@ -573,20 +574,22 @@ impl Ftl {
         self.events.push(FtlEvent::DataLost { lpn, day });
     }
 
-    /// Encodes and programs `data` for `lpn` through `handle`'s reclaim
+    /// Frames and programs `data` for `lpn` through `handle`'s reclaim
     /// unit, updating maps. Used by both the host write path and
-    /// GC/refresh relocation.
+    /// GC/refresh relocation. The page's ECC redundancy is not computed
+    /// here: reads rebuild the parity they consult from the data (see
+    /// `PageCodec::frame`).
     pub(crate) fn program_mapped(
         &mut self,
         lpn: u64,
         data: &[u8],
         handle: PlacementHandle,
     ) -> Result<f64, FtlError> {
-        let raw = self.codec.encode(data)?;
+        let raw = self.codec.frame(data)?;
         self.program_raw(lpn, &raw, handle)
     }
 
-    /// Programs an already-encoded raw page for `lpn` (the GC/refresh
+    /// Programs an already-framed raw page for `lpn` (the GC/refresh
     /// copyback path), updating maps.
     pub(crate) fn program_raw(
         &mut self,

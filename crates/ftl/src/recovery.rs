@@ -170,7 +170,7 @@ impl Ftl {
         let mut blocks: Vec<u64> = Vec::new();
         let mut current: Option<u64> = None;
         for (index, chunk) in chunks.iter().enumerate() {
-            let raw = match self.codec.encode(chunk) {
+            let raw = match self.codec.frame(chunk) {
                 Ok(raw) => raw,
                 Err(e) => return Err((blocks, e.into())),
             };
@@ -349,7 +349,7 @@ impl Ftl {
                         break;
                     }
                 };
-                match codec.decode_with_dirty(&outcome.data, &outcome.injected_positions) {
+                match codec.decode_framed(&outcome.data, &outcome.injected_positions) {
                     Ok(decoded) if decoded.status != PageStatus::Uncorrectable => {
                         payload.extend_from_slice(&decoded.data);
                     }

@@ -241,7 +241,7 @@ impl ZonedDevice {
         if info.write_pointer >= capacity {
             return Err(ZnsError::ZoneFull(zone));
         }
-        let raw = self.codec.encode(data).map_err(ZnsError::Codec)?;
+        let raw = self.codec.frame(data).map_err(ZnsError::Codec)?;
         let addr = self.page_addr(&info, info.write_pointer)?;
         match self.device.program(addr, &raw) {
             Ok(_) => {}
@@ -282,7 +282,7 @@ impl ZonedDevice {
         let addr = self.page_addr(&info, offset)?;
         let outcome = self.device.read(addr)?;
         self.codec
-            .decode_with_dirty(&outcome.data, &outcome.injected_positions)
+            .decode_framed(&outcome.data, &outcome.injected_positions)
             .map_err(ZnsError::Codec)
     }
 

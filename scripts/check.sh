@@ -28,6 +28,7 @@ echo "==> determinism JSON report: target/sos-determinism-report.json"
 if [[ "$fast" -eq 0 ]]; then
     run cargo build --release
     run cargo test -q
+    run cargo test --offline --manifest-path perfbench/Cargo.toml
     # Perf smoke: quick kernels vs the committed baseline, plus the
     # improvement ratchet (best-ever per kernel; wins are banked into
     # BENCH_0010.json — commit it when perf_suite reports an update).
