@@ -497,14 +497,69 @@ pub fn run_crashy_days<C: Classifier>(
 }
 
 /// Reads the harness seed from the `SOS_SEED` environment variable
-/// (decimal), falling back to `default` when unset or unparsable.
+/// (decimal), falling back to `default` when it is unset.
 ///
 /// The bench binaries thread this through device, workload, and crash
 /// schedules, so any logged run can be replayed exactly:
-/// `SOS_SEED=42 cargo run --release --bin exp_crash_sweep`.
+/// `SOS_SEED=42 cargo run --release --bin exp_crash_sweep`. A set but
+/// unparsable value (`SOS_SEED=0x2a`) exits with status 2 and names the
+/// variable, rather than silently replaying the default seed.
 pub fn seed_from_env(default: u64) -> u64 {
-    std::env::var("SOS_SEED")
-        .ok()
-        .and_then(|value| value.trim().parse().ok())
-        .unwrap_or(default)
+    let raw = std::env::var_os("SOS_SEED").map(|text| text.to_string_lossy().into_owned());
+    parse_setting("SOS_SEED", raw.as_deref(), default).unwrap_or_else(|error| exit_usage(&error))
+}
+
+/// Reads positional command-line argument `index` (as
+/// `std::env::args().nth(index)`), called `name` in messages, falling
+/// back to `default` when it is absent. A present but unparsable
+/// argument exits with status 2 and names it.
+pub fn arg_or<T: std::str::FromStr>(index: usize, name: &str, default: T) -> T {
+    let raw = std::env::args_os()
+        .nth(index)
+        .map(|text| text.to_string_lossy().into_owned());
+    parse_setting(name, raw.as_deref(), default).unwrap_or_else(|error| exit_usage(&error))
+}
+
+/// Parses the raw text of the setting `name`: absent means `default`,
+/// and text that does not parse is an error naming the setting.
+fn parse_setting<T: std::str::FromStr>(
+    name: &str,
+    raw: Option<&str>,
+    default: T,
+) -> Result<T, String> {
+    match raw {
+        None => Ok(default),
+        Some(text) => text
+            .trim()
+            .parse()
+            .map_err(|_| format!("{name}: cannot parse {text:?}")),
+    }
+}
+
+/// The bench binaries' bad-usage exit: the message on stderr, status 2.
+fn exit_usage(message: &str) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(2)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_setting;
+
+    #[test]
+    fn unset_setting_is_default_and_decimal_parses() {
+        assert_eq!(parse_setting("SOS_SEED", None, 11u64), Ok(11));
+        assert_eq!(parse_setting("SOS_SEED", Some("42"), 11u64), Ok(42));
+        assert_eq!(parse_setting("days", Some(" 30\n"), 360u32), Ok(30));
+    }
+
+    #[test]
+    fn unparsable_setting_is_an_error_naming_it() {
+        for bad in ["0x2a", "", "-1", "42abc"] {
+            let error = parse_setting("SOS_SEED", Some(bad), 11u64).unwrap_err();
+            assert!(error.contains("SOS_SEED"), "{error}");
+        }
+        let error = parse_setting("gets_per_day", Some("many"), 1usize).unwrap_err();
+        assert!(error.starts_with("gets_per_day:"), "{error}");
+    }
 }

@@ -134,12 +134,12 @@ fn workspace_has_zero_nondeterminism_findings() {
         "suspiciously small deterministic-output surface: {} fns",
         report.reachable_fns
     );
-    // The runner and the perf kernels time themselves on purpose; the
-    // allowlist must keep absorbing those hits (a drop to zero means
-    // the allowlist match broke, not that the timing went away).
-    assert!(
-        report.allowlisted >= 7,
-        "stderr-timing allowlist stopped matching: {} hit(s)",
-        report.allowlisted
+    // The runner times itself on purpose and reports it on stderr only;
+    // the allowlist absorbs exactly those clock reads. A change in either
+    // direction means the allowlist match broke or a timing site moved
+    // in or out of `run_tasks`, and must be reviewed.
+    assert_eq!(
+        report.allowlisted, 3,
+        "stderr-timing allowlist hit count changed"
     );
 }

@@ -9,22 +9,18 @@
 //! divided across shards) that run in parallel on the deterministic
 //! runner; shard `i` is seeded `task_seed(SOS_SEED, i)`, so the merged
 //! stdout report is byte-identical for any `SOS_THREADS`. Set
-//! `SOS_SEED` to replay a logged sweep.
+//! `SOS_SEED` to replay a logged sweep. Exits 1 on an auditor finding,
+//! and 2 on an unparsable argument or `SOS_SEED`.
 
-use sos_analyze::seed_from_env;
+use sos_analyze::{arg_or, seed_from_env};
 use sos_bench::{crash_sweep_report, thread_count, CrashSweepOptions};
 
 fn main() {
     let mut options = CrashSweepOptions::default();
-    if let Some(days) = std::env::args().nth(1).and_then(|arg| arg.parse().ok()) {
-        options.days = days;
-    }
-    if let Some(interval) = std::env::args().nth(2).and_then(|arg| arg.parse().ok()) {
-        options.checkpoint_interval = interval;
-    }
-    if let Some(shards) = std::env::args().nth(3).and_then(|arg| arg.parse().ok()) {
-        options.shards = shards;
-    }
+    options.days = arg_or(1, "days", options.days);
+    options.checkpoint_interval =
+        arg_or(2, "checkpoint_interval_days", options.checkpoint_interval);
+    options.shards = arg_or(3, "shards", options.shards);
     options.base_seed = seed_from_env(options.base_seed);
     let output = crash_sweep_report(&options, thread_count());
     print!("{}", output.report);

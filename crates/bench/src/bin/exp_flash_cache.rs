@@ -8,20 +8,17 @@
 //!
 //! The three arms run in parallel on the deterministic runner with a
 //! shared workload seed, so stdout is byte-identical for any
-//! `SOS_THREADS`. Set `SOS_SEED` to replay a logged run. Exits non-zero
-//! if FDP placement fails to beat the no-hint baseline on write-amp.
+//! `SOS_THREADS`. Set `SOS_SEED` to replay a logged run. Exits 1 if FDP
+//! placement fails to beat the no-hint baseline on write-amp, and 2 on
+//! an unparsable argument or `SOS_SEED`.
 
-use sos_analyze::seed_from_env;
+use sos_analyze::{arg_or, seed_from_env};
 use sos_bench::{flash_cache_report, thread_count, FlashCacheOptions};
 
 fn main() {
     let mut options = FlashCacheOptions::default();
-    if let Some(days) = std::env::args().nth(1).and_then(|arg| arg.parse().ok()) {
-        options.days = days;
-    }
-    if let Some(gets) = std::env::args().nth(2).and_then(|arg| arg.parse().ok()) {
-        options.gets_per_day = gets;
-    }
+    options.days = arg_or(1, "days", options.days);
+    options.gets_per_day = arg_or(2, "gets_per_day", options.gets_per_day);
     options.base_seed = seed_from_env(options.base_seed);
     let output = flash_cache_report(&options, thread_count());
     print!("{}", output.report);

@@ -154,17 +154,6 @@ fn trained_classifier(seed: u64) -> (LogisticRegression, FeatureExtractor) {
     trained
 }
 
-/// Pre-trains the classifier for `seed` so later [`run_design`] calls
-/// with the same seed start from the cache.
-///
-/// A deployed SOS device ships with an already-trained model; training
-/// is one-time provisioning, not steady-state work. Benchmarks that
-/// want to measure device-day throughput call this outside their timed
-/// region, matching the other kernels whose setup is untimed.
-pub fn warm_classifier(seed: u64) {
-    let _ = trained_classifier(seed);
-}
-
 fn run_with<D: ObjectStore>(
     device: D,
     config: &SimConfig,

@@ -32,6 +32,8 @@ pub enum ZoneState {
 /// Errors from zoned operations.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ZnsError {
+    /// A zone must span at least one physical block.
+    ZeroBlocksPerZone,
     /// Zone id beyond the device.
     BadZone(u32),
     /// Operation not allowed in the zone's state.
@@ -66,6 +68,7 @@ pub enum ZnsError {
 impl std::fmt::Display for ZnsError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            ZnsError::ZeroBlocksPerZone => write!(f, "zones must span at least one block"),
             ZnsError::BadZone(z) => write!(f, "zone {z} out of range"),
             ZnsError::WrongState { zone, state } => {
                 write!(
@@ -135,14 +138,17 @@ impl ZonedDevice {
         }
     }
 
-    /// Creates a zoned device, reporting ECC/spare-area configuration
-    /// mismatches as errors rather than panicking.
+    /// Creates a zoned device, reporting a zero `blocks_per_zone` and
+    /// ECC/spare-area configuration mismatches as errors rather than
+    /// panicking.
     pub fn try_new(
         config: &DeviceConfig,
         blocks_per_zone: u32,
         ecc: sos_ecc::EccScheme,
     ) -> Result<Self, ZnsError> {
-        assert!(blocks_per_zone >= 1);
+        if blocks_per_zone == 0 {
+            return Err(ZnsError::ZeroBlocksPerZone);
+        }
         let device = FlashDevice::new(config);
         let geometry = *device.geometry();
         let codec = PageCodec::new(
@@ -472,5 +478,15 @@ mod tests {
             device.zone_state(99).unwrap_err(),
             ZnsError::BadZone(99)
         ));
+    }
+
+    #[test]
+    fn zero_blocks_per_zone_rejected() {
+        let result = ZonedDevice::try_new(
+            &DeviceConfig::tiny(CellDensity::Plc),
+            0,
+            EccScheme::Bch { t: 18 },
+        );
+        assert!(matches!(result, Err(ZnsError::ZeroBlocksPerZone)));
     }
 }

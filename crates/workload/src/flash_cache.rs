@@ -147,7 +147,7 @@ impl FlashCacheConfig {
         }
     }
 
-    /// A tiny configuration for tests and quick perf kernels.
+    /// A tiny configuration for tests.
     pub fn tiny(seed: u64) -> Self {
         let mut config = FlashCacheConfig::server(48, seed);
         config.gets_per_day = 600;

@@ -29,12 +29,9 @@ if [[ "$fast" -eq 0 ]]; then
     run cargo build --release
     run cargo test -q
     run cargo test --offline --manifest-path perfbench/Cargo.toml
-    # Perf smoke: quick kernels vs the committed baseline, plus the
-    # improvement ratchet (best-ever per kernel; wins are banked into
-    # BENCH_0010.json — commit it when perf_suite reports an update).
-    # A missing baseline is a graceful skip inside perf_suite itself.
-    run ./target/release/perf_suite --quick --out target/BENCH_0005.json \
-        --check BENCH_0005.json --ratchet BENCH_0010.json
+    # Reference benchmark smoke: every BENCHMARK.json workload once,
+    # briefly; fails unless each is correct with no failed operation.
+    run python3 scripts/perfbench_smoke.py
 fi
 
 echo "check.sh: all gates passed"
